@@ -47,6 +47,23 @@ struct BenchOptions
 };
 
 /**
+ * Parse a digits-only count flag value. Rejects "-4", "abc", "4x", and
+ * the empty string (which strtoul would misparse) by calling
+ * @p usage, which must not return.
+ */
+template <typename Usage>
+std::size_t
+parseCount(const char *text, const Usage &usage)
+{
+    if (*text == '\0')
+        usage();
+    for (const char *p = text; *p != '\0'; ++p)
+        if (*p < '0' || *p > '9')
+            usage();
+    return static_cast<std::size_t>(std::strtoul(text, nullptr, 10));
+}
+
+/**
  * Parse the shared bench flags (currently `--threads=N` / `-t N`).
  * Prints usage and exits on an unknown argument or a malformed value
  * so a typo cannot silently run a multi-minute sweep with default
@@ -64,23 +81,12 @@ parseBenchOptions(int argc, char **argv)
                      argv[0]);
         std::exit(2);
     };
-    const auto parseCount = [&usage](const char *text) {
-        // Digits only: reject "-4", "abc", "4x", and empty strings
-        // rather than letting strtoul misparse them.
-        if (*text == '\0')
-            usage();
-        for (const char *p = text; *p != '\0'; ++p)
-            if (*p < '0' || *p > '9')
-                usage();
-        return static_cast<std::size_t>(
-            std::strtoul(text, nullptr, 10));
-    };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--threads=", 10) == 0) {
-            options.threads = parseCount(arg + 10);
+            options.threads = parseCount(arg + 10, usage);
         } else if (std::strcmp(arg, "-t") == 0 && i + 1 < argc) {
-            options.threads = parseCount(argv[++i]);
+            options.threads = parseCount(argv[++i], usage);
         } else {
             usage();
         }
@@ -195,8 +201,9 @@ banner(const std::string &title)
 
 /**
  * Observability flags shared by the fleet benches. All optional: when
- * none are given the bench runs untraced and its stdout stays
- * byte-identical to the goldens (the sink is simply never created).
+ * no trace file is asked for the bench runs untraced and its stdout
+ * stays byte-identical to the goldens (the sink is simply never
+ * created).
  */
 struct ObsOptions
 {
@@ -210,10 +217,11 @@ struct ObsOptions
     unsigned categories = obs::kCatAll & ~obs::kCatBeat;
     std::size_t ring = 0; //!< --trace-ring=N keeps only the last N.
 
-    bool enabled() const
+    /** Whether a trace file was asked for. Metrics alone need no sink:
+     *  recordFleetMetrics reads only the FleetReport. */
+    bool traced() const
     {
-        return !trace_path.empty() || !trace_jsonl_path.empty() ||
-               !metrics_path.empty();
+        return !trace_path.empty() || !trace_jsonl_path.empty();
     }
 };
 
@@ -252,16 +260,10 @@ parseObsArg(ObsOptions &options, const char *arg)
     }
     if (std::strncmp(arg, "--trace-ring=", 13) == 0) {
         const char *text = arg + 13;
-        if (*text == '\0')
+        options.ring = parseCount(text, [text]() {
+            std::fprintf(stderr, "bad --trace-ring value '%s'\n", text);
             std::exit(2);
-        for (const char *p = text; *p != '\0'; ++p)
-            if (*p < '0' || *p > '9') {
-                std::fprintf(stderr,
-                             "bad --trace-ring value '%s'\n", text);
-                std::exit(2);
-            }
-        options.ring = static_cast<std::size_t>(
-            std::strtoul(text, nullptr, 10));
+        });
         return true;
     }
     return false;
@@ -297,7 +299,7 @@ obsUsage()
 inline std::optional<obs::TraceSink>
 makeObsSink(const ObsOptions &options)
 {
-    if (!options.enabled())
+    if (!options.traced())
         return std::nullopt;
     obs::TraceConfig config;
     config.categories = options.categories;

@@ -28,10 +28,11 @@
  * fleet-smoke job asserts this, and diffs the summary section against
  * bench/golden/fleet_spike_steps50.txt).
  *
- * --engine selects the serve loop: `epoch` (legacy synchronous round
- * loop), `event` (discrete-event engine, its own golden
- * fleet_spike_event.txt), or `compat` (event engine in epoch-compat
- * mode — stdout is byte-identical to `epoch`, which CI diffs).
+ * --engine selects the engine's schedule: `epoch` (synchronous rounds;
+ * CI diffs the full `--steps=40 --threads=1` stdout against
+ * bench/golden/fleet_spike_epoch.txt, frozen from the round loop the
+ * schedule replaced) or `event` (discrete-event, its own golden
+ * fleet_spike_event.txt).
  * Wall-clock timings go to stderr only, keeping stdout deterministic
  * for the golden comparisons.
  *
@@ -76,7 +77,6 @@ struct FleetBenchOptions
     std::size_t epoch_frac_pct = 100;
     std::size_t queue_depth = 0; //!< Per-machine bound (0 = unbounded).
     fleet::EngineMode engine = fleet::EngineMode::Epoch;
-    bool epoch_compat = false;      //!< --engine=compat.
     std::size_t sample_stride = 1;  //!< Event-engine report stride.
     std::size_t fleet = 0;          //!< 0 = comparison bench; else scale.
     std::size_t peak_rate = 0;      //!< Poisson peak (0 = mode default).
@@ -89,9 +89,8 @@ struct FleetBenchOptions
 const char *
 engineLabel(const FleetBenchOptions &options)
 {
-    if (options.engine == fleet::EngineMode::Epoch)
-        return "epoch";
-    return options.epoch_compat ? "compat" : "event";
+    return options.engine == fleet::EngineMode::Epoch ? "epoch"
+                                                      : "event";
 }
 
 FleetBenchOptions
@@ -102,7 +101,7 @@ parseFleetOptions(int argc, char **argv)
         std::fprintf(stderr,
                      "usage: %s [--steps=N] [--threads=N | -t N]\n"
                      "          [--epoch-frac=P] [--queue-depth=N]\n"
-                     "          [--engine=epoch|event|compat] "
+                     "          [--engine=epoch|event] "
                      "[--sample-stride=N]\n"
                      "          [--fleet=N] [--peak-rate=N]\n"
                      "  steps       load-trace epochs (default 96)\n"
@@ -114,10 +113,8 @@ parseFleetOptions(int argc, char **argv)
                      "and feel lease updates mid-run)\n"
                      "  queue-depth max in-flight jobs per machine "
                      "(default 0 = unbounded; overload sheds)\n"
-                     "  engine      serve loop: epoch (legacy round "
-                     "loop), event (discrete-event),\n"
-                     "              compat (event engine replaying the "
-                     "epoch schedule bit-for-bit)\n"
+                     "  engine      schedule: epoch (synchronous "
+                     "rounds) or event (discrete-event)\n"
                      "  sample-stride  epochs per report row "
                      "(event engine only; default 1)\n"
                      "  fleet       scale mode: N machines serving "
@@ -131,60 +128,41 @@ parseFleetOptions(int argc, char **argv)
                      argv[0], obsUsage());
         std::exit(2);
     };
-    const auto parseCount = [&usage](const char *text) {
-        if (*text == '\0')
-            usage();
-        for (const char *p = text; *p != '\0'; ++p)
-            if (*p < '0' || *p > '9')
-                usage();
-        return static_cast<std::size_t>(
-            std::strtoul(text, nullptr, 10));
-    };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--steps=", 8) == 0) {
-            options.steps = parseCount(arg + 8);
+            options.steps = parseCount(arg + 8, usage);
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            options.threads = parseCount(arg + 10);
+            options.threads = parseCount(arg + 10, usage);
         } else if (std::strncmp(arg, "--epoch-frac=", 13) == 0) {
-            options.epoch_frac_pct = parseCount(arg + 13);
+            options.epoch_frac_pct = parseCount(arg + 13, usage);
         } else if (std::strncmp(arg, "--queue-depth=", 14) == 0) {
-            options.queue_depth = parseCount(arg + 14);
+            options.queue_depth = parseCount(arg + 14, usage);
         } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-            if (std::strcmp(arg + 9, "epoch") == 0) {
+            if (std::strcmp(arg + 9, "epoch") == 0)
                 options.engine = fleet::EngineMode::Epoch;
-                options.epoch_compat = false;
-            } else if (std::strcmp(arg + 9, "event") == 0) {
+            else if (std::strcmp(arg + 9, "event") == 0)
                 options.engine = fleet::EngineMode::Event;
-                options.epoch_compat = false;
-            } else if (std::strcmp(arg + 9, "compat") == 0) {
-                options.engine = fleet::EngineMode::Event;
-                options.epoch_compat = true;
-            } else {
+            else
                 usage();
-            }
         } else if (std::strncmp(arg, "--sample-stride=", 16) == 0) {
-            options.sample_stride = parseCount(arg + 16);
+            options.sample_stride = parseCount(arg + 16, usage);
         } else if (std::strncmp(arg, "--fleet=", 8) == 0) {
-            options.fleet = parseCount(arg + 8);
+            options.fleet = parseCount(arg + 8, usage);
         } else if (std::strncmp(arg, "--peak-rate=", 12) == 0) {
-            options.peak_rate = parseCount(arg + 12);
+            options.peak_rate = parseCount(arg + 12, usage);
         } else if (std::strncmp(arg, "--class-mix=", 12) == 0) {
             options.class_mix = arg + 12;
         } else if (parseObsArg(options.obs, arg)) {
             // Consumed by the shared observability parser.
         } else if (std::strcmp(arg, "-t") == 0 && i + 1 < argc) {
-            options.threads = parseCount(argv[++i]);
+            options.threads = parseCount(argv[++i], usage);
         } else {
             usage();
         }
     }
     if (options.steps == 0 || options.epoch_frac_pct == 0 ||
         options.sample_stride == 0)
-        usage();
-    // Compat mode replays the legacy schedule; a coarser stride would
-    // change it (the Server constructor rejects this combination too).
-    if (options.epoch_compat && options.sample_stride != 1)
         usage();
     return options;
 }
@@ -195,16 +173,14 @@ applyEngine(fleet::ServerOptions &server_options,
             const FleetBenchOptions &options)
 {
     server_options.engine = options.engine;
-    server_options.event.epoch_compat = options.epoch_compat;
-    if (options.engine == fleet::EngineMode::Event &&
-        !options.epoch_compat)
-        server_options.event.sample_stride = options.sample_stride;
+    server_options.event.sample_stride = options.sample_stride;
 }
 
 /**
  * Serve and report the wall-clock on stderr (never stdout: the CI
  * fleet-smoke job diffs stdout byte-for-byte against goldens and
- * across engines, and timings are the one nondeterministic output).
+ * across thread counts, and timings are the one nondeterministic
+ * output).
  */
 fleet::FleetReport
 timedServe(fleet::Server &server,

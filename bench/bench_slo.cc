@@ -74,23 +74,14 @@ parseSloOptions(int argc, char **argv)
                      argv[0], obsUsage());
         std::exit(2);
     };
-    const auto parseCount = [&usage](const char *text) {
-        if (*text == '\0')
-            usage();
-        for (const char *p = text; *p != '\0'; ++p)
-            if (*p < '0' || *p > '9')
-                usage();
-        return static_cast<std::size_t>(
-            std::strtoul(text, nullptr, 10));
-    };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--steps=", 8) == 0) {
-            options.steps = parseCount(arg + 8);
+            options.steps = parseCount(arg + 8, usage);
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            options.threads = parseCount(arg + 10);
+            options.threads = parseCount(arg + 10, usage);
         } else if (std::strcmp(arg, "-t") == 0 && i + 1 < argc) {
-            options.threads = parseCount(argv[++i]);
+            options.threads = parseCount(argv[++i], usage);
         } else if (std::strncmp(arg, "--class-mix=", 12) == 0) {
             options.class_mix = arg + 12;
         } else if (parseObsArg(options.obs, arg)) {

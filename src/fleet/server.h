@@ -60,18 +60,17 @@ class TraceSink;
 namespace powerdial::fleet {
 
 /**
- * Which engine drives the serve.
+ * Which schedule the fleet engine (src/fleet/event_engine.cc) runs.
+ * Both modes share one discrete-event core: a priority queue of typed
+ * events ordered by (virtual time, stable sequence id).
  *
- * Epoch is the legacy synchronous round loop: every epoch advances
- * every tenant one slice and runs one arbitration round, whether or
- * not anything changed. Event is the discrete-event engine
- * (src/fleet/event_engine.cc): a priority queue of typed events —
- * arrivals, beat-quantum expiries, completions, lease rewrites, trace
- * samples — ordered by (virtual time, stable sequence id), with
- * arbitration fired by state changes rather than by the epoch clock.
- * The event engine configured with EventEngineOptions::epoch_compat
- * reproduces the epoch loop's FleetReport bit for bit
- * (tests/test_fleet_event_engine.cc pins this differentially).
+ * Epoch is the synchronous round schedule: every epoch advances every
+ * tenant one slice and runs one arbitration round, whether or not
+ * anything changed. Its FleetReport is bit-identical to the round loop
+ * it replaced (tests/epoch_loop_digests.h freezes that loop's
+ * reports). Event fires arbitration on state changes — admissions and
+ * completions — rather than on the epoch clock, and schedules nothing
+ * for an idle fleet.
  */
 enum class EngineMode
 {
@@ -79,18 +78,9 @@ enum class EngineMode
     Event,
 };
 
-/** Tuning for EngineMode::Event. */
+/** Tuning for EngineMode::Event (ignored under EngineMode::Epoch). */
 struct EventEngineOptions
 {
-    /**
-     * Restrict the event engine to epoch-cadence triggers only: one
-     * lease-rewrite and one trace-sample event per epoch, quantum
-     * equal to the epoch — the discrete-event machinery replaying the
-     * legacy schedule exactly. The resulting FleetReport is
-     * bit-identical to EngineMode::Epoch; differential tests run both
-     * and compare. Requires the defaults for the fields below.
-     */
-    bool epoch_compat = false;
     /**
      * Beat-quantum: the longest the engine lets virtual time run
      * between visits to an active tenant, bounding how stale a
@@ -99,7 +89,7 @@ struct EventEngineOptions
     double quantum_seconds = 0.0;
     /**
      * Emit one EpochStats row per this many epochs (trace-sample
-     * events). 1 = every epoch, like the legacy loop; larger strides
+     * events). 1 = every epoch, like epoch mode; larger strides
      * keep the report small for 10^4+-epoch scale runs. Must be >= 1.
      */
     std::size_t sample_stride = 1;
@@ -119,7 +109,7 @@ struct ArbitrationSample
 };
 
 /**
- * Observer for arbitration rounds (both engines call it, in virtual-
+ * Observer for arbitration rounds (both modes call it, in virtual-
  * time order). Tests use it to assert per-machine budgets sum to the
  * cap after *every* round and that rounds are monotone in time.
  */
@@ -209,7 +199,7 @@ struct ServerOptions
     /**
      * Structured trace sink (obs/trace_sink.h); null (default) records
      * nothing and costs one branch per would-be event. Borrowed — must
-     * outlive the server. Both engines call TraceSink::beginServe at
+     * outlive the server. Both modes call TraceSink::beginServe at
      * the top of every serve, so a sink attached across several serves
      * holds the last serve's trace.
      */

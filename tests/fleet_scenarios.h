@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -152,6 +154,140 @@ expectReportsIdentical(const FleetReport &a, const FleetReport &b)
     EXPECT_EQ(a.p50_latency_s, b.p50_latency_s);
     EXPECT_EQ(a.p95_latency_s, b.p95_latency_s);
     EXPECT_EQ(a.p99_latency_s, b.p99_latency_s);
+}
+
+/**
+ * 64-bit FNV-1a over a byte stream. Words are fed least-significant
+ * byte first and doubles by their IEEE-754 bit pattern, so a digest is
+ * the same on every host and distinguishes -0.0 from 0.0.
+ */
+class Digest
+{
+  public:
+    Digest &
+    bytes(const char *data, std::size_t size)
+    {
+        for (std::size_t i = 0; i < size; ++i) {
+            hash_ ^= static_cast<unsigned char>(data[i]);
+            hash_ *= 1099511628211ULL;
+        }
+        return *this;
+    }
+
+    Digest &
+    word(std::uint64_t value)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash_ ^= (value >> (8 * i)) & 0xffU;
+            hash_ *= 1099511628211ULL;
+        }
+        return *this;
+    }
+
+    Digest &
+    real(double value)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof bits);
+        return word(bits);
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+/** Digest of a byte string (trace exports). */
+inline std::uint64_t
+bytesDigest(const std::string &text)
+{
+    return Digest().bytes(text.data(), text.size()).value();
+}
+
+/**
+ * Digest of every FleetReport field expectReportsIdentical compares,
+ * by bit pattern and in the same order, vector lengths included: two
+ * reports that expectReportsIdentical accepts have equal digests, so a
+ * frozen digest keeps the strength of a field-by-field comparison
+ * against a report the code can no longer produce.
+ */
+inline std::uint64_t
+reportDigest(const FleetReport &r)
+{
+    Digest d;
+    d.word(r.epochs.size());
+    for (const EpochStats &e : r.epochs)
+        d.word(e.epoch)
+            .word(e.arrivals)
+            .word(e.shed)
+            .word(e.completed)
+            .word(e.active)
+            .word(e.lease_generation)
+            .real(e.watts)
+            .real(e.fleet_rate)
+            .real(e.mean_qos_loss)
+            .real(e.max_pause_ratio);
+    d.word(r.jobs.size());
+    for (const JobRecord &j : r.jobs)
+        d.word(j.job)
+            .word(j.tenant)
+            .word(j.epoch)
+            .word(j.machine)
+            .word(j.job_class)
+            .real(j.deadline_s)
+            .real(j.predicted_s)
+            .real(j.latency_s)
+            .real(j.mean_rate)
+            .real(j.qos_loss)
+            .real(j.energy_j)
+            .word(j.beats)
+            .word(j.lease_generation)
+            .word(j.lease_updates)
+            .real(j.service_s)
+            .real(j.queue_share_s)
+            .real(j.class_deficit_s)
+            .real(j.pause_s);
+    d.word(r.tenants.size());
+    for (const TenantStats &t : r.tenants)
+        d.word(t.tenant)
+            .word(t.jobs)
+            .real(t.mean_qos_loss)
+            .real(t.mean_latency_s)
+            .real(t.p50_latency_s)
+            .real(t.p95_latency_s)
+            .real(t.p99_latency_s);
+    d.word(r.machines.size());
+    for (const MachineStats &m : r.machines)
+        d.word(m.machine)
+            .word(m.machine_class)
+            .word(m.jobs)
+            .word(m.shed)
+            .real(m.p50_latency_s)
+            .real(m.p95_latency_s)
+            .real(m.p99_latency_s);
+    d.word(r.classes.size());
+    for (const ClassStats &c : r.classes)
+        d.word(c.job_class)
+            .word(c.jobs)
+            .word(c.shed)
+            .real(c.p50_latency_s)
+            .real(c.p95_latency_s)
+            .real(c.p99_latency_s);
+    d.word(r.total_jobs).word(r.total_shed).word(r.drained_jobs);
+    d.word(r.shed_by_machine.size());
+    for (const std::size_t shed : r.shed_by_machine)
+        d.word(shed);
+    d.word(r.shed_by_class.size());
+    for (const std::size_t shed : r.shed_by_class)
+        d.word(shed);
+    d.real(r.mean_watts)
+        .real(r.mean_fleet_rate)
+        .real(r.mean_qos_loss)
+        .real(r.p50_latency_s)
+        .real(r.p95_latency_s)
+        .real(r.p99_latency_s);
+    return d.value();
 }
 
 /** One seeded differential scenario: options + an arrival trace. */

@@ -608,7 +608,8 @@ TEST(Server, InFlightTenantAdoptsUpdatedShareWithinOneBeat)
 
     // The new share lands within one beat of the boundary: the first
     // beat at/after the boundary still began under the old lease, the
-    // next one runs under the new terms.
+    // next one runs under the new terms. Exactly one beat, because the
+    // caller's gate runs before the lease re-read.
     std::size_t boundary = trace.size();
     std::size_t adopted = trace.size();
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -619,7 +620,7 @@ TEST(Server, InFlightTenantAdoptsUpdatedShareWithinOneBeat)
     }
     ASSERT_LT(boundary, trace.size());
     ASSERT_LT(adopted, trace.size()) << "share never re-read mid-run";
-    EXPECT_LE(adopted - boundary, 1u)
+    EXPECT_EQ(adopted - boundary, 1u)
         << "lease adopted " << (adopted - boundary)
         << " beats after the epoch boundary";
     EXPECT_NEAR(trace[adopted].share, crowded_share, 1e-12);

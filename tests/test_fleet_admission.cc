@@ -6,8 +6,9 @@
  *
  *   1. *Compatibility*: routing admission through an explicit
  *      QueueDepthAdmission is bit-identical to the Scheduler's default
- *      across the seeded scenario sweep, on both engines and at both
- *      thread counts — the seam itself changes nothing.
+ *      across the seeded scenario sweep (whose epoch-mode reports are
+ *      the retired round loop's frozen digests) at both thread
+ *      counts — the seam itself changes nothing.
  *   2. *Overflow follows the policy*: when the placement policy's pick
  *      is at the queue-depth bound, overflow re-asks the policy
  *      restricted to machines with room instead of silently reverting
@@ -16,14 +17,16 @@
  *   3. *Predictive properties*: the SLO-aware policy never sheds when
  *      every deadline is feasible, sheds the lowest-priority class
  *      first under overload, degenerates to queue-depth behaviour for
- *      deadline-free traffic, and stays bit-identical across engines
- *      and thread counts (the margin feedback is replay-safe).
+ *      deadline-free traffic, and stays bit-identical to the round
+ *      loop's frozen report and across thread counts (the margin
+ *      feedback is replay-safe).
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "epoch_loop_digests.h"
 #include "fleet/server.h"
 #include "fleet_scenarios.h"
 #include "workload/traffic_mix.h"
@@ -35,15 +38,13 @@ using tests::FleetScenario;
 using tests::expectReportsIdentical;
 using tests::makeFleetScenario;
 using tests::makePipeline;
+using tests::reportDigest;
 
 FleetReport
 serveScenario(const tests::Pipeline &p, const FleetScenario &scenario,
-              EngineMode engine, bool epoch_compat = false,
               std::size_t threads = 1)
 {
     ServerOptions options = scenario.options;
-    options.engine = engine;
-    options.event.epoch_compat = epoch_compat;
     options.threads = threads;
     Server server(p.app, p.table, p.model, options);
     return server.serve(scenario.arrivals);
@@ -67,19 +68,11 @@ TEST(AdmissionSeam, ExplicitQueueDepthMatchesDefaultAcrossSweep)
         FleetScenario explicit_policy = scenario;
         explicit_policy.options.admission = makeQueueDepthAdmission();
 
-        const FleetReport base =
-            serveScenario(p, scenario, EngineMode::Epoch);
-        expectReportsIdentical(
-            base, serveScenario(p, explicit_policy, EngineMode::Epoch));
-        expectReportsIdentical(
-            base, serveScenario(p, explicit_policy, EngineMode::Epoch,
-                                false, 4));
-        expectReportsIdentical(
-            base, serveScenario(p, explicit_policy, EngineMode::Event,
-                                true));
-        expectReportsIdentical(
-            base, serveScenario(p, explicit_policy, EngineMode::Event,
-                                true, 4));
+        const FleetReport base = serveScenario(p, scenario);
+        EXPECT_EQ(reportDigest(base), tests::kSweepDigests[seed - 1]);
+        expectReportsIdentical(base, serveScenario(p, explicit_policy));
+        expectReportsIdentical(base,
+                               serveScenario(p, explicit_policy, 4));
         if (::testing::Test::HasFailure())
             break; // One seed's full diff is enough output.
     }
@@ -208,10 +201,8 @@ TEST(PredictiveAdmission, DeadlineFreeTrafficReproducesQueueDepth)
     FleetScenario predictive = scenario;
     predictive.options.admission = makePredictiveAdmission();
 
-    const FleetReport blind =
-        serveScenario(p, scenario, EngineMode::Epoch);
-    const FleetReport slo =
-        serveScenario(p, predictive, EngineMode::Epoch);
+    const FleetReport blind = serveScenario(p, scenario);
+    const FleetReport slo = serveScenario(p, predictive);
 
     ASSERT_GT(blind.total_shed, 0u);
     EXPECT_EQ(blind.total_shed, slo.total_shed);
@@ -252,10 +243,9 @@ makeOverloadSchedule(const tests::Pipeline &p)
 TEST(PredictiveAdmission, BitIdenticalAcrossThreadsAndEngines)
 {
     // The margin feedback (noteCompletion) and lease context
-    // (noteArbitration) are fed serially in virtual-time order by both
-    // engines, so an SLO-aware serve over a flash-crowd schedule must
-    // replay bit-identically at any thread count and across the
-    // epoch/event-compat pair.
+    // (noteArbitration) are fed serially in virtual-time order, so an
+    // SLO-aware serve over a flash-crowd schedule must replay the
+    // round loop's frozen report bit for bit at any thread count.
     auto p = makePipeline();
     const auto offers = makeOverloadSchedule(p);
 
@@ -266,22 +256,18 @@ TEST(PredictiveAdmission, BitIdenticalAcrossThreadsAndEngines)
     options.admission = makePredictiveAdmission();
     options.arbiter.cluster_cap_watts = 130.0;
 
-    auto serve = [&](EngineMode engine, bool compat,
-                     std::size_t threads) {
+    auto serve = [&](std::size_t threads) {
         ServerOptions o = options;
-        o.engine = engine;
-        o.event.epoch_compat = compat;
         o.threads = threads;
         Server server(p.app, p.table, p.model, o);
         return server.serve(offers);
     };
 
-    const FleetReport base = serve(EngineMode::Epoch, false, 1);
+    const FleetReport base = serve(1);
     ASSERT_GT(base.total_jobs, 0u);
     ASSERT_GT(base.total_shed, 0u) << "flash crowd must overload";
-    expectReportsIdentical(base, serve(EngineMode::Epoch, false, 4));
-    expectReportsIdentical(base, serve(EngineMode::Event, true, 1));
-    expectReportsIdentical(base, serve(EngineMode::Event, true, 4));
+    EXPECT_EQ(reportDigest(base), tests::kPredictiveOverloadDigest);
+    expectReportsIdentical(base, serve(4));
 }
 
 } // namespace

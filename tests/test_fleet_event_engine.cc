@@ -4,15 +4,16 @@
  *
  * The engine's correctness story has two legs, both pinned here:
  *
- *   1. *Differential*: in epoch-compat mode the event engine must
- *      reproduce the legacy epoch loop's FleetReport bit for bit —
- *      every epoch row, every job record, every aggregate — across a
- *      randomized sweep of seeded scenarios (machines, tenant mixes,
- *      Poisson rates, queue depths, epoch fractions, all three
- *      arbiter policies). Failures print the reproducing seed.
+ *   1. *Differential*: the epoch schedule (EngineMode::Epoch) must
+ *      reproduce the retired synchronous round loop's FleetReport bit
+ *      for bit — every epoch row, every job record, every aggregate —
+ *      across a randomized sweep of seeded scenarios (machines, tenant
+ *      mixes, Poisson rates, queue depths, epoch fractions, all three
+ *      arbiter policies). The loop's reports are frozen as digests in
+ *      epoch_loop_digests.h. Failures print the reproducing seed.
  *
  *   2. *Invariants*: in full event mode (where reports legitimately
- *      differ from the epoch loop) every serve must still conserve
+ *      differ from the epoch schedule) every serve must still conserve
  *      jobs (admitted = completed + drained), keep per-machine power
  *      budgets summing to the cluster cap after every arbitration
  *      event, fire arbitrations at monotone non-decreasing times with
@@ -26,6 +27,7 @@
 #include <numeric>
 #include <vector>
 
+#include "epoch_loop_digests.h"
 #include "fleet/server.h"
 #include "fleet_scenarios.h"
 
@@ -36,16 +38,15 @@ using tests::FleetScenario;
 using tests::expectReportsIdentical;
 using tests::makeFleetScenario;
 using tests::makePipeline;
+using tests::reportDigest;
 
 /** Serve one scenario under the given engine mode. */
 FleetReport
 serveScenario(const tests::Pipeline &p, const FleetScenario &scenario,
-              EngineMode engine, bool epoch_compat = false,
-              std::size_t threads = 1)
+              EngineMode engine, std::size_t threads = 1)
 {
     ServerOptions options = scenario.options;
     options.engine = engine;
-    options.event.epoch_compat = epoch_compat;
     options.threads = threads;
     Server server(p.app, p.table, p.model, options);
     return server.serve(scenario.arrivals);
@@ -61,7 +62,9 @@ completedAcrossEpochs(const FleetReport &report)
 }
 
 // ---------------------------------------------------------------------
-// Differential: epoch loop vs event engine in epoch-compat mode.
+// Differential: the epoch schedule (once the event engine's "compat"
+// mode, hence the test names) vs the retired round loop's frozen
+// reports.
 // ---------------------------------------------------------------------
 
 TEST(EventEngineDifferential, CompatMatchesEpochOnSpikeScenario)
@@ -69,9 +72,8 @@ TEST(EventEngineDifferential, CompatMatchesEpochOnSpikeScenario)
     auto p = makePipeline();
     const FleetScenario scenario = makeFleetScenario(
         42, p.model.baselineSeconds(), p.app.productionInputs());
-    expectReportsIdentical(
-        serveScenario(p, scenario, EngineMode::Epoch),
-        serveScenario(p, scenario, EngineMode::Event, true));
+    EXPECT_EQ(reportDigest(serveScenario(p, scenario, EngineMode::Epoch)),
+              tests::kSpikeDigest);
 }
 
 TEST(EventEngineDifferential, RandomizedSweepFiftySeeds)
@@ -85,21 +87,18 @@ TEST(EventEngineDifferential, RandomizedSweepFiftySeeds)
                      << seed << ")");
         const FleetScenario scenario =
             makeFleetScenario(seed, baseline_s, inputs);
-        expectReportsIdentical(
-            serveScenario(p, scenario, EngineMode::Epoch),
-            serveScenario(p, scenario, EngineMode::Event, true));
-        if (::testing::Test::HasFailure())
-            break; // One seed's full diff is enough output.
+        EXPECT_EQ(
+            reportDigest(serveScenario(p, scenario, EngineMode::Epoch)),
+            tests::kSweepDigests[seed - 1]);
     }
 }
 
 TEST(EventEngineDifferential, CompatShedAccountingMatchesEpochEngine)
 {
-    // Satellite: shed accounting under pressure. A 1-machine fleet
-    // with a tight queue bound and a hot trace must shed, and the
-    // sheds must agree between engines in total, per machine, per
-    // epoch row, and in lease-generation context (the full row
-    // comparison covers generation tags).
+    // Shed accounting under pressure. A 1-machine fleet with a tight
+    // queue bound and a hot trace must shed, and the sheds must agree
+    // with the round loop's in total, per machine, per epoch row, and
+    // in lease-generation context (the digest covers every field).
     auto p = makePipeline();
     FleetScenario scenario = makeFleetScenario(
         7, p.model.baselineSeconds(), p.app.productionInputs());
@@ -110,12 +109,8 @@ TEST(EventEngineDifferential, CompatShedAccountingMatchesEpochEngine)
 
     const FleetReport epoch =
         serveScenario(p, scenario, EngineMode::Epoch);
-    const FleetReport compat =
-        serveScenario(p, scenario, EngineMode::Event, true);
     ASSERT_GT(epoch.total_shed, 0u);
-    EXPECT_EQ(epoch.total_shed, compat.total_shed);
-    EXPECT_EQ(epoch.shed_by_machine, compat.shed_by_machine);
-    expectReportsIdentical(epoch, compat);
+    EXPECT_EQ(reportDigest(epoch), tests::kShedDigest);
 
     // Attribution is complete: per-machine sheds sum to the total.
     const std::size_t attributed =
@@ -129,13 +124,12 @@ TEST(EventEngineDifferential, CompatIsBitIdenticalAcrossThreadCounts)
     auto p = makePipeline();
     const FleetScenario scenario = makeFleetScenario(
         11, p.model.baselineSeconds(), p.app.productionInputs());
-    expectReportsIdentical(
-        serveScenario(p, scenario, EngineMode::Event, true, 1),
-        serveScenario(p, scenario, EngineMode::Event, true, 4));
+    expectReportsIdentical(serveScenario(p, scenario, EngineMode::Epoch, 1),
+                           serveScenario(p, scenario, EngineMode::Epoch, 4));
 }
 
 // ---------------------------------------------------------------------
-// Event-mode invariants (reports may differ from the epoch loop, but
+// Event-mode invariants (reports may differ from epoch mode, but
 // these properties must hold on every serve).
 // ---------------------------------------------------------------------
 
@@ -213,8 +207,9 @@ TEST(EventEngineInvariants, ArbitrationEventsAreMonotone)
     // both engine modes.
     auto p = makePipeline();
     const auto inputs = p.app.productionInputs();
-    for (const bool compat : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << "compat=" << compat);
+    for (const EngineMode engine : {EngineMode::Event, EngineMode::Epoch}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "epoch=" << (engine == EngineMode::Epoch));
         FleetScenario scenario = makeFleetScenario(
             21, p.model.baselineSeconds(), inputs);
         double last_time = -1.0;
@@ -229,8 +224,7 @@ TEST(EventEngineInvariants, ArbitrationEventsAreMonotone)
                 last_generation = sample.generation;
             };
         ServerOptions options = scenario.options;
-        options.engine = EngineMode::Event;
-        options.event.epoch_compat = compat;
+        options.engine = engine;
         Server server(p.app, p.table, p.model, options);
         server.serve(scenario.arrivals);
         EXPECT_GT(rounds, 0u);
@@ -246,8 +240,8 @@ TEST(EventEngineInvariants, EventModeIsBitIdenticalAcrossThreadCounts)
         const FleetScenario scenario = makeFleetScenario(
             seed, p.model.baselineSeconds(), inputs);
         expectReportsIdentical(
-            serveScenario(p, scenario, EngineMode::Event, false, 1),
-            serveScenario(p, scenario, EngineMode::Event, false, 4));
+            serveScenario(p, scenario, EngineMode::Event, 1),
+            serveScenario(p, scenario, EngineMode::Event, 4));
     }
 }
 
@@ -340,26 +334,13 @@ TEST(EventEngine, ValidatesEngineOptions)
     options.event.quantum_seconds = -1.0;
     EXPECT_THROW(Server(p.app, p.table, p.model, options),
                  std::invalid_argument);
-
-    // Compat mode *is* the legacy schedule; a custom stride or
-    // quantum would contradict it.
-    options = ServerOptions{};
-    options.event.epoch_compat = true;
-    options.event.sample_stride = 2;
-    EXPECT_THROW(Server(p.app, p.table, p.model, options),
-                 std::invalid_argument);
-    options = ServerOptions{};
-    options.event.epoch_compat = true;
-    options.event.quantum_seconds = 0.5;
-    EXPECT_THROW(Server(p.app, p.table, p.model, options),
-                 std::invalid_argument);
 }
 
 TEST(EventEngine, IdleEpochsScheduleNoArbitration)
 {
     // The scale win in one assertion: a trace that goes quiet stops
     // producing arbitration rounds once the last tenant drains, while
-    // the epoch loop re-prices every epoch regardless.
+    // epoch mode re-prices every epoch regardless.
     auto p = makePipeline();
     ServerOptions options;
     options.machines = 2;
